@@ -1,24 +1,14 @@
-//! Trigger-dispatch throughput: the lock-free status-word machine vs the
-//! fully locked dispatch baseline (`Config::lockfree_dispatch = false`).
+//! Trigger-dispatch throughput of the lock-free status-word machine.
 //!
 //! Each producer thread owns an [`dtt_core::Accessor`] and hammers
 //! *changing* stores into its own watched cell, so every store fires a
 //! trigger and walks the dispatch path: raise, then either an enqueue
 //! (with a worker wake) or a coalescing absorb into the already-Queued
 //! tthread. Bodies are empty — the benchmark isolates dispatch, not
-//! execution. Under the locked baseline every raise serializes on the
-//! global state lock (shared with the two draining workers); the
-//! lock-free machine raises with a CAS on the per-tthread status word and
-//! touches only a sharded pending queue on the enqueue subset.
-//!
-//! Two results are reported, mirroring `store_throughput`:
-//!
-//! * the **measured** wall-clock table — real scaling on a multi-core
-//!   host, collapsed by time-slicing on a single-core CI runner;
-//! * a **modeled** 4-core projection from measured single-producer costs:
-//!   dispatch under a global lock caps aggregate throughput at
-//!   `1 / t_locked` regardless of the producer count, while lock-free
-//!   raises on distinct status words scale at `T / t_lockfree`.
+//! execution. A raise is a CAS on the per-tthread status word and touches
+//! only a sharded pending queue on the enqueue subset. The table reports
+//! measured wall-clock throughput: real scaling on a multi-core host,
+//! collapsed by time-slicing on a host with fewer cores than producers.
 //!
 //! After every run the dispatch books must balance exactly:
 //! every fired trigger was enqueued or coalesced (the queue is sized so
@@ -51,10 +41,9 @@ const WORKERS: usize = 2;
 /// Runs `threads` producers of `iters` triggering stores each (one watched
 /// cell and one empty tthread per producer) and returns aggregate
 /// Mdispatches/s.
-fn run(threads: usize, lockfree: bool, iters: usize) -> f64 {
+fn run(threads: usize, iters: usize) -> f64 {
     let cfg = Config::default()
         .with_workers(WORKERS)
-        .with_lockfree_dispatch(lockfree)
         // Far above the tthread count: a coalescing queue holds at most
         // one live entry per tthread, so overflow stays impossible and
         // the conservation check below can be exact.
@@ -91,7 +80,7 @@ fn run(threads: usize, lockfree: bool, iters: usize) -> f64 {
     rt.join_all().unwrap();
     let snap = rt.stats();
     let c = snap.counters();
-    // Exact conservation, both modes: every trigger is enqueued or
+    // Exact conservation: every trigger is enqueued or
     // absorbed, and every enqueue (plus each absorbed mid-run retrigger)
     // is executed exactly once.
     assert_eq!(c.triggers_fired, (threads * iters) as u64);
@@ -102,12 +91,12 @@ fn run(threads: usize, lockfree: bool, iters: usize) -> f64 {
     assert_eq!(
         c.triggers_fired,
         c.enqueues + c.coalesced_triggers,
-        "dispatched triggers must balance at {threads} producers (lockfree={lockfree})"
+        "dispatched triggers must balance at {threads} producers"
     );
     assert_eq!(
         c.executions,
         c.enqueues + c.commit_retries + c.commit_retry_exhausted,
-        "executions must balance at {threads} producers (lockfree={lockfree})"
+        "executions must balance at {threads} producers"
     );
     assert!(c.worker_wakes <= c.enqueues);
     (threads * iters) as f64 / secs / 1e6
@@ -129,7 +118,6 @@ struct ImbalancedRun {
 fn run_imbalanced(workers: usize, stealing: bool, items: usize, spin: u64) -> ImbalancedRun {
     let cfg = Config::default()
         .with_workers(workers)
-        .with_lockfree_dispatch(true)
         .with_work_stealing(stealing)
         .with_queue_capacity(items + 8);
     let mut rt = Runtime::new(cfg, ());
@@ -205,72 +193,24 @@ fn main() {
 
     let mut table = Table::new(vec![
         "producers".into(),
-        "locked Mdisp/s".into(),
-        "lockfree Mdisp/s".into(),
-        "speedup".into(),
+        "Mdisp/s".into(),
+        "ns/dispatch".into(),
     ]);
-    let mut measured_1t_locked = 0.0;
-    let mut measured_1t_lockfree = 0.0;
-    let mut measured_4t_ratio = 0.0;
     for threads in [1usize, 2, 4] {
-        let locked = run(threads, false, iters);
-        let lockfree = run(threads, true, iters);
-        if threads == 1 {
-            measured_1t_locked = locked;
-            measured_1t_lockfree = lockfree;
-        }
-        if threads == 4 {
-            measured_4t_ratio = lockfree / locked;
-        }
+        let rate = run(threads, iters);
         table.row(vec![
             threads.to_string(),
-            format!("{locked:.1}"),
-            format!("{lockfree:.1}"),
-            fmt_speedup(lockfree / locked),
+            format!("{rate:.1}"),
+            format!("{:.1}", 1e3 / rate),
         ]);
     }
     let mode = if smoke { " (smoke)" } else { "" };
     table.print(&format!(
-        "trigger-dispatch throughput, measured on {cores} core(s): lock-free vs locked{mode}"
+        "trigger-dispatch throughput, measured on {cores} core(s){mode}"
     ));
-
-    // Serialization model from the measured single-producer costs: the
-    // locked baseline holds the state lock across every raise, capping
-    // aggregate dispatch at 1/t_locked however many producers run, while
-    // lock-free raises on distinct status words share no lock and scale
-    // with the core count.
-    let modeled = 4.0 * measured_1t_lockfree / measured_1t_locked;
-    println!(
-        "single-producer cost: {:.1} ns/dispatch locked, {:.1} ns/dispatch lock-free",
-        1e3 / measured_1t_locked,
-        1e3 / measured_1t_lockfree
-    );
-    println!(
-        "modeled 4-core, 4-producer speedup over the locked baseline: {}",
-        fmt_speedup(modeled)
-    );
-    println!(
-        "measured 4-producer speedup on this {cores}-core host: {}",
-        fmt_speedup(measured_4t_ratio)
-    );
     if cores < 4 {
-        println!("note: with fewer cores than producers, time-slicing serializes every");
-        println!("configuration equally; the modeled line is the serialization bound");
-        println!("from measured single-producer costs.");
-    }
-
-    let record = BenchRecord {
-        benchmark: "dispatch_throughput".into(),
-        config: format!(
-            "producers=[1,2,4] workers={WORKERS} iters={iters} lockfree-vs-locked{mode}"
-        ),
-        ns_per_op: 1e3 / measured_1t_lockfree,
-        modeled_speedup: modeled,
-        host_cores: cores,
-    };
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench record: {e}"),
+        println!("note: with fewer cores than producers, time-slicing serializes the");
+        println!("producers; the aggregate rate cannot scale past the core count.");
     }
 
     // --- The imbalanced-shard work-stealing scenario -------------------

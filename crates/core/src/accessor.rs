@@ -4,16 +4,17 @@
 //! it performs tracked loads and stores against the sharded arena directly,
 //! so accessors on different threads — and different address shards —
 //! proceed in parallel, the way the paper's hardware runs the store-side
-//! value compare on every core without serializing the pipeline. Only a
-//! store that actually *fires a trigger* takes the state lock, to advance
-//! the serial status machine.
+//! value compare on every core without serializing the pipeline. A store
+//! that *fires a trigger* advances the tthread's atomic status word; only
+//! a queue overflow takes the state lock, to apply the overflow policy.
 //!
 //! # Locking protocol (per store)
 //!
 //! 1. stripe lock(s) for the store's range → write + value compare → unlock;
 //! 2. silent store → done, no further locks;
 //! 3. trigger-table **read** lock → lookup into reusable scratch → unlock;
-//! 4. no hits → done; otherwise state lock → raise the hits → unlock.
+//! 4. no hits → done; otherwise raise each hit on its status word, and on
+//!    a queue overflow only: state lock → overflow policy → unlock.
 //!
 //! No two of these are ever held across a step boundary, and the state lock
 //! is always the *last* acquired, so accessors cannot deadlock with
@@ -145,16 +146,9 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             .triggers
             .read()
             .lookup_with(cell.range(), &mut self.scratch);
-        if self.scratch.hits().is_empty() {
-            return;
-        }
-        if self.inner.cfg.lockfree_dispatch {
+        if !self.scratch.hits().is_empty() {
             self.raise_hits_lockfree(cell.addr().raw());
-            return;
         }
-        let mut state = self.inner.state.lock();
-        let mut ctx = Ctx::new(&mut state, self.inner, 0);
-        ctx.raise_hits(self.scratch.hits(), cell.addr().raw());
     }
 
     /// The tentpole fast path: raise this store's trigger hits entirely
@@ -191,7 +185,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             let mut state = inner.state.lock();
             let mut ctx = Ctx::new(&mut state, inner, 0);
             for (id, token) in overflows {
-                ctx.overflow_lockfree(id, token);
+                ctx.overflow(id, token);
             }
         }
     }

@@ -63,14 +63,6 @@ pub struct Config {
     pub workers: usize,
     /// Behaviour on queue overflow (parallel executor only).
     pub overflow: OverflowPolicy,
-    /// Run worker tthread bodies *detached*: snapshot tracked memory under
-    /// the state lock, execute the body lock-free against the snapshot, and
-    /// commit its stores (firing triggers) under the lock afterwards. This
-    /// is what makes worker executions overlap the main thread. Disabling
-    /// it restores the legacy attached executor, which holds the state lock
-    /// across the whole body — fully serialized, useful as an ablation
-    /// baseline. Ignored by the deferred executor (`workers == 0`).
-    pub detached_execution: bool,
     /// Maximum depth of tthreads triggering tthreads before
     /// [`crate::error::Error::CascadeDepthExceeded`] aborts the cascade.
     pub max_cascade_depth: u32,
@@ -128,18 +120,7 @@ pub struct Config {
     /// How many pending tthreads the triggering thread will drain inline
     /// per overflow under [`OverflowPolicy::Backpressure`] before shedding.
     pub backpressure_assist_budget: u32,
-    /// Run trigger dispatch lock-free: status transitions go through the
-    /// per-tthread atomic status word, enqueues land in the sharded pending
-    /// queue, and workers park on an eventcount — the state lock is only
-    /// taken for slow paths (overflow fallback, commit, join bookkeeping,
-    /// report/shutdown). Disabling this restores the fully locked dispatch
-    /// baseline (single mutex-guarded queue, `Condvar` broadcast wakes) as
-    /// an ablation, like `detached_execution=false` and `mem_shards=1`.
-    ///
-    /// The default is `true` and can be overridden with the
-    /// `DTT_LOCKFREE_DISPATCH` environment variable (`0`/`false` disable).
-    pub lockfree_dispatch: bool,
-    /// Work stealing (lock-free dispatch only): an idle worker whose own
+    /// Work stealing: an idle worker whose own
     /// pending-queue shards are empty migrates a batch from the fullest
     /// foreign shard before parking, keeping every worker busy whenever
     /// any pending trigger exists. Disabling it restores park-on-empty
@@ -212,11 +193,6 @@ fn env_bool(var: &str, warn_once: &'static std::sync::Once, default: bool) -> bo
     }
 }
 
-fn default_lockfree_dispatch() -> bool {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    env_bool("DTT_LOCKFREE_DISPATCH", &WARN, true)
-}
-
 fn default_simd_store() -> bool {
     static WARN: std::sync::Once = std::sync::Once::new();
     env_bool("DTT_SIMD", &WARN, true)
@@ -278,7 +254,6 @@ impl Default for Config {
             queue_capacity: 64,
             workers: 0,
             overflow: OverflowPolicy::default(),
-            detached_execution: true,
             max_cascade_depth: 64,
             arena_capacity: 1 << 32,
             mem_shards: default_mem_shards(),
@@ -289,7 +264,6 @@ impl Default for Config {
             commit_retry_cap: 8,
             commit_backoff: None,
             backpressure_assist_budget: 4,
-            lockfree_dispatch: default_lockfree_dispatch(),
             work_stealing: true,
             simd_store: default_simd_store(),
             early_cutoff: default_early_cutoff(),
@@ -337,12 +311,6 @@ impl Config {
     /// Sets the queue-overflow policy.
     pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
         self.overflow = policy;
-        self
-    }
-
-    /// Enables or disables detached (snapshot/commit) worker execution.
-    pub fn with_detached_execution(mut self, on: bool) -> Self {
-        self.detached_execution = on;
         self
     }
 
@@ -412,13 +380,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables lock-free trigger dispatch (`false` restores the
-    /// fully locked dispatch baseline for ablations).
-    pub fn with_lockfree_dispatch(mut self, on: bool) -> Self {
-        self.lockfree_dispatch = on;
-        self
-    }
-
     /// Enables or disables work stealing between pending-queue shards
     /// (`false` restores park-on-empty affinity scheduling for ablations).
     pub fn with_work_stealing(mut self, on: bool) -> Self {
@@ -482,9 +443,9 @@ mod tests {
         assert_eq!(cfg.backpressure_assist_budget, 4);
         assert!(cfg.work_stealing);
         assert!(!cfg.park_timeout.is_zero());
-        // Honors DTT_LOCKFREE_DISPATCH and DTT_EARLY_CUTOFF, defaulting on;
-        // the test environment may set either, so just check the builder
-        // wiring below.
+        // Honors DTT_SIMD and DTT_EARLY_CUTOFF, defaulting on; the test
+        // environment may set either, so just check the builder wiring
+        // below.
     }
 
     #[test]
@@ -506,7 +467,6 @@ mod tests {
             .with_commit_retry_cap(3)
             .with_commit_backoff(Duration::from_micros(50))
             .with_backpressure_assist_budget(2)
-            .with_lockfree_dispatch(false)
             .with_work_stealing(false)
             .with_simd_store(false)
             .with_early_cutoff(false)
@@ -538,12 +498,6 @@ mod tests {
         assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
         assert_eq!(cfg.backpressure_assist_budget, 2);
-        assert!(!cfg.lockfree_dispatch);
-        assert!(
-            Config::default()
-                .with_lockfree_dispatch(true)
-                .lockfree_dispatch
-        );
         assert!(!cfg.work_stealing);
         assert!(Config::default().with_work_stealing(true).work_stealing);
         assert!(!cfg.simd_store);

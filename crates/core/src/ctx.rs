@@ -9,8 +9,8 @@
 //! 2. if the store was *silent* (value unchanged) — stop: no trigger;
 //! 3. look the store up in the trigger table;
 //! 4. for each matched tthread, advance its status machine: mark triggered,
-//!    enqueue for a worker, coalesce with a pending instance, or fall back
-//!    to inline execution when the queue is full.
+//!    enqueue for a worker, coalesce with a pending instance, or apply the
+//!    overflow policy when the queue is full.
 //!
 //! # Locked and detached execution
 //!
@@ -20,28 +20,28 @@
 //!   state lock. Main-thread regions, joins, the deferred executor and
 //!   inline overflow executions all run locked; stores dispatch triggers
 //!   immediately.
-//! * **Detached** — used by worker threads when
-//!   [`crate::config::Config::detached_execution`] is on. The body runs
-//!   against a *privatized* snapshot of tracked memory taken under the lock
-//!   (the privatization pattern of Balaji et al.): loads read the snapshot,
-//!   stores apply to the snapshot and append to a write log. No triggers
-//!   fire during the body; the worker reacquires the lock afterwards and
-//!   *commits* the log — replaying the stores against live memory and
-//!   dispatching triggers for the ones that still change it. Accessing the
-//!   untracked user state from a detached body acquires the state lock (it
-//!   cannot be snapshotted) and holds it through commit.
+//! * **Detached** — used by worker threads. The body runs against a
+//!   *privatized* snapshot of tracked memory, taken atomically when the
+//!   execution starts (the privatization pattern of Balaji et al.): loads
+//!   read the snapshot, stores apply to the snapshot and append to a write
+//!   log. No triggers fire during the body; the worker takes the lock
+//!   afterwards and *commits* the log — replaying the stores against live
+//!   memory and dispatching triggers for the ones that still change it.
+//!   Accessing the untracked user state from a detached body acquires the
+//!   state lock (it cannot be snapshotted) and holds it through commit.
 
 use std::cell::OnceCell;
 
 use parking_lot::MutexGuard;
 
 use crate::config::OverflowPolicy;
+use crate::dispatch::PendingPush;
 use crate::error::Error;
 use crate::handle::{Tracked, TrackedArray};
 use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
 use crate::pod::Pod;
-use crate::runtime::{Inner, State};
+use crate::runtime::{Inner, LockfreeRaise, State};
 use crate::stats::Counters;
 use crate::trigger::TriggerHit;
 use crate::tthread::{TthreadId, TthreadStatus};
@@ -72,7 +72,7 @@ pub(crate) enum RaiseKind {
 
 /// The privatized view backing a detached execution.
 pub(crate) struct DetachedView<'a, U> {
-    /// Snapshot of tracked memory taken under the lock at execution start.
+    /// Snapshot of tracked memory taken atomically at execution start.
     snap: TrackedHeap,
     /// Stores performed by the body, in program order.
     log: Vec<LoggedStore>,
@@ -124,9 +124,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         Self::new_for(state, inner, depth, None)
     }
 
-    /// A locked context attributed to a tthread: used for bodies (inline
-    /// and attached) and for commit replays, where raises onto other
-    /// tthreads are cascade wave units.
+    /// A locked context attributed to a tthread: used for inline bodies
+    /// and for commit replays, where raises onto other tthreads are
+    /// cascade wave units.
     pub(crate) fn new_for(
         state: &'a mut State<U>,
         inner: &'a Inner<U>,
@@ -667,178 +667,27 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Advance the status machine of `id` for one trigger.
-    ///
-    /// Lock-free dispatch mode delegates to
-    /// [`crate::runtime::Inner::raise_lockfree`] (the status-word CAS
-    /// machine) and only comes back here — already under the state lock —
-    /// for the overflow policy. Locked mode drives the same status words
-    /// through the identical transitions, just serialized by the lock the
-    /// caller already holds, and keeps the legacy [`CoalescingQueue`] as
-    /// the pending structure: that is the ablation baseline
-    /// ([`crate::config::Config::lockfree_dispatch`]` = false`).
+    /// Advance the status machine of `id` for one trigger: the status-word
+    /// CAS machine ([`crate::runtime::Inner::raise_lockfree`]), coming back
+    /// here — already under the state lock — only for the overflow policy.
     pub(crate) fn raise(&mut self, id: TthreadId) -> RaiseKind {
-        if self.inner.cfg.lockfree_dispatch {
-            return match self.inner.raise_lockfree(id) {
-                crate::runtime::LockfreeRaise::Done { coalesced } => {
-                    if coalesced {
-                        RaiseKind::Coalesced
-                    } else {
-                        RaiseKind::Activated
-                    }
-                }
-                crate::runtime::LockfreeRaise::Overflow(token) => {
-                    self.overflow_lockfree(id, token);
-                    RaiseKind::Activated
-                }
-            };
-        }
-        let deferred = self.inner.cfg.is_deferred();
-        let coalesce = self.inner.cfg.coalesce;
-        let slot = self.inner.dispatch.slots.slot(id.index());
-        slot.triggers
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match slot.status() {
-            TthreadStatus::Running => {
-                slot.set_rf_if_running();
-                let state = self.locked();
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            TthreadStatus::Triggered => {
-                let state = self.locked();
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            TthreadStatus::Queued => {
-                if coalesce {
-                    let state = self.locked();
-                    state.stats.coalesced_triggers += 1;
-                    self.obs_status(EventKind::Coalesced, id, 0);
-                    RaiseKind::Coalesced
-                } else {
-                    self.enqueue(id)
-                }
-            }
-            TthreadStatus::Clean => {
-                if deferred {
-                    let _ = slot.raise(true, false);
-                    RaiseKind::Activated
-                } else {
-                    self.enqueue(id)
-                }
-            }
-        }
-    }
-
-    /// Push `id` onto the worker queue (locked baseline), applying the
-    /// overflow policy.
-    fn enqueue(&mut self, id: TthreadId) -> RaiseKind {
-        use crate::queue::PushOutcome;
-        let overflow = self.inner.cfg.overflow;
-        let slot = self.inner.dispatch.slots.slot(id.index());
-        // Injected saturation: report the queue full without consuming a
-        // slot, driving the overflow policy on an otherwise-healthy queue.
-        let forced_full = self.inner.fault.fire(crate::fault::FaultPoint::Enqueue);
-        let state = self.locked();
-        let outcome = if forced_full {
-            PushOutcome::Full
-        } else {
-            state.queue.push(id)
-        };
-        match outcome {
-            PushOutcome::Enqueued => {
-                // Clean→Queued for the first entry; a duplicate entry
-                // (coalescing off) finds the word already Queued and the
-                // raise absorbs without bumping the token.
-                let _ = slot.raise(false, false);
-                state.stats.enqueues += 1;
-                let occupancy = state.queue.len() as u64;
-                self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                self.inner.work_cv.notify_one();
-                RaiseKind::Activated
-            }
-            PushOutcome::Coalesced => {
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            PushOutcome::Full => {
-                state.stats.queue_overflows += 1;
-                let capacity = state.queue.capacity() as u64;
-                // Without coalescing, `id` may already occupy a queue slot
-                // from an earlier trigger. Drop it so the overflow handling
-                // below is the *only* pending execution; leaving it would
-                // let a worker run the tthread a second time.
-                state.queue.remove(id);
-                self.obs_status(EventKind::QueueOverflow, id, capacity);
-                match overflow {
-                    OverflowPolicy::ExecuteInline => {
-                        slot.claim();
-                        self.run_inline(id);
-                    }
-                    OverflowPolicy::DeferToJoin => slot.force_triggered(),
-                    OverflowPolicy::Backpressure => self.backpressure(id),
-                }
-                // Whatever the policy did, the trigger was serviced by a
-                // fresh activation (inline run, deferred mark, or shed),
-                // not absorbed into a previously pending one.
+        match self.inner.raise_lockfree(id) {
+            LockfreeRaise::Done { coalesced: true } => RaiseKind::Coalesced,
+            LockfreeRaise::Done { coalesced: false } => RaiseKind::Activated,
+            LockfreeRaise::Overflow(token) => {
+                self.overflow(id, token);
                 RaiseKind::Activated
             }
         }
     }
 
-    /// Queue-overflow backpressure (locked baseline): the triggering thread
-    /// assists by draining the oldest pending tthreads inline (FIFO-fair —
-    /// the victim was enqueued first) to free a slot for `id`. If the
-    /// assist budget runs out with the queue still full, the trigger is
-    /// *shed*: `id` is left `Triggered` for its next join and the shed is
-    /// counted.
-    fn backpressure(&mut self, id: TthreadId) {
-        use crate::queue::PushOutcome;
-        let inner = self.inner;
-        let budget = inner.cfg.backpressure_assist_budget;
-        for _ in 0..budget {
-            let Some(victim) = self.locked().queue.pop() else {
-                break;
-            };
-            self.locked().stats.backpressure_waits += 1;
-            inner.dispatch.slots.slot(victim.index()).claim();
-            self.run_inline(victim);
-            match self.locked().queue.push(id) {
-                PushOutcome::Enqueued => {
-                    let _ = inner.dispatch.slots.slot(id.index()).raise(false, false);
-                    let state = self.locked();
-                    state.stats.enqueues += 1;
-                    let occupancy = state.queue.len() as u64;
-                    self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                    inner.work_cv.notify_one();
-                    return;
-                }
-                PushOutcome::Coalesced => {
-                    self.locked().stats.coalesced_triggers += 1;
-                    self.obs_status(EventKind::Coalesced, id, 0);
-                    return;
-                }
-                PushOutcome::Full => {}
-            }
-        }
-        let state = self.locked();
-        state.stats.overflow_sheds += 1;
-        let capacity = state.queue.capacity() as u64;
-        inner.dispatch.slots.slot(id.index()).force_triggered();
-        self.obs_status(EventKind::OverflowShed, id, capacity);
-    }
-
-    /// Lock-free raise overflow: the status word already advanced
-    /// Clean→Queued, but no pending-queue entry landed. Applies the
-    /// overflow policy under the state lock (the caller holds it),
-    /// validating every transition with `token` so a concurrent join or
-    /// force steal wins cleanly — in that case their inline run covers
-    /// this trigger and the policy has nothing left to do.
-    pub(crate) fn overflow_lockfree(&mut self, id: TthreadId, token: u64) {
+    /// Raise overflow: the status word already advanced Clean→Queued, but
+    /// no pending-queue entry landed. Applies the overflow policy under the
+    /// state lock (the caller holds it), validating every transition with
+    /// `token` so a concurrent join or force steal wins cleanly — in that
+    /// case their inline run covers this trigger and the policy has
+    /// nothing left to do.
+    pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
         let slot = inner.dispatch.slots.slot(id.index());
         self.locked().stats.queue_overflows += 1;
@@ -853,15 +702,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             OverflowPolicy::DeferToJoin => {
                 let _ = slot.try_defer_queued(token);
             }
-            OverflowPolicy::Backpressure => self.backpressure_lockfree(id, token),
+            OverflowPolicy::Backpressure => self.backpressure(id, token),
         }
     }
 
-    /// Queue-overflow backpressure, lock-free dispatch flavour: drain
-    /// claimed victims inline, retry the push with the original token, and
-    /// shed to Triggered when the assist budget runs out. A victim whose
-    /// entry went stale (stolen by a join) costs an assist round but no
-    /// execution.
+    /// Queue-overflow backpressure: the triggering thread drains claimed
+    /// victims inline (FIFO-fair — the victims were enqueued first),
+    /// retries the push with the original token, and sheds `id` to
+    /// Triggered for its next join when the assist budget runs out. A
+    /// victim whose entry went stale (stolen by a join) costs an assist
+    /// round but no execution.
     ///
     /// Pending-length audit: each loop iteration pairs exactly one `pop`
     /// (global `len` −1) with at most one successful `push` (`len` +1,
@@ -872,8 +722,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// `Runtime::pending_queue_consistency`. The `pop(0)` here is the
     /// deliberately ownership-blind scan: the assisting thread may drain
     /// any shard, not just one worker's.
-    fn backpressure_lockfree(&mut self, id: TthreadId, token: u64) {
-        use crate::dispatch::PendingPush;
+    fn backpressure(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
         let dispatch = &inner.dispatch;
         let budget = inner.cfg.backpressure_assist_budget;
@@ -907,7 +756,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
 
     /// Execute tthread `id` on the current thread, re-running while
     /// retriggered. The caller must already have moved `id` to Running
-    /// (a claim CAS, or [`crate::dispatch::Slot::claim`] under the lock).
+    /// with a claim CAS.
     ///
     /// Completes with the CJ flag *preserved* (`try_complete(None)`): an
     /// overflow-inline run between a worker's commit and the next join
@@ -962,10 +811,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 state.tst.entry_mut(id).poisoned = true;
                 state.graph.clear_depth(id);
                 slot.force_clean();
-                inner.done_cv.notify_all();
-                if inner.cfg.lockfree_dispatch {
-                    inner.wake_joiners();
-                }
+                inner.wake_joiners();
                 std::panic::resume_unwind(payload);
             }
             state.stats.executions += 1;
@@ -991,13 +837,10 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             // A trigger landed mid-body (RF): absorb it into another run.
             slot.absorb_rf();
         }
-        self.inner.done_cv.notify_all();
         // An overflow-inline run on a *worker* thread (backpressure assist
         // or ExecuteInline during a commit cascade) can complete a tthread
         // the main thread is parked on: broadcast the completion
         // eventcount just like the worker loop does after its own runs.
-        if self.inner.cfg.lockfree_dispatch {
-            self.inner.wake_joiners();
-        }
+        self.inner.wake_joiners();
     }
 }

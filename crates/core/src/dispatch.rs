@@ -251,12 +251,6 @@ impl Slot {
         }
     }
 
-    /// Unconditional claim (locked dispatch mode, where the state lock
-    /// already serializes every mutator): → Running, RF absorbed.
-    pub(crate) fn claim(&self) {
-        self.rmw(|w| advance(w, TthreadStatus::Running, true, false));
-    }
-
     /// Overflow `DeferToJoin`: Queued→Triggered iff the token still
     /// matches (the tthread was not stolen since the failed push).
     pub(crate) fn try_defer_queued(&self, token: u64) -> bool {
@@ -314,14 +308,6 @@ impl Slot {
         self.rmw(|w| advance(w, TthreadStatus::Triggered, true, true));
     }
 
-    /// Unconditional move to Triggered with flags preserved. Locked-mode
-    /// overflow paths (DeferToJoin, backpressure shed) use this after
-    /// removing `id`'s queue entries: the word may be Clean (first
-    /// trigger) or Queued (duplicate entries just dropped).
-    pub(crate) fn force_triggered(&self) {
-        self.rmw(|w| advance(w, TthreadStatus::Triggered, false, false));
-    }
-
     /// Unconditional reset to Clean with both flags cleared (poison,
     /// timeout: the execution published nothing).
     pub(crate) fn force_clean(&self) {
@@ -354,7 +340,7 @@ impl Slot {
     }
 
     /// Clears the completed-since-join flag regardless of state (join and
-    /// force clear it after an inline run, matching the locked baseline).
+    /// force clear it after an inline run).
     pub(crate) fn clear_completed(&self) {
         self.rmw(|w| w & !CJ);
     }
@@ -424,8 +410,8 @@ struct PendingShard {
 
 /// The sharded MPMC pending queue: entries are `(tthread index, token)`
 /// pairs, sharded by tthread index. Capacity is enforced globally with
-/// an atomic length, so the overflow policy sees the same bound as the
-/// locked baseline's single queue.
+/// an atomic length, so the overflow policy sees one bound however many
+/// shards the entries spread over.
 ///
 /// # Shard ownership and stealing
 ///

@@ -71,15 +71,15 @@
 //! * **Deferred** (`Config::default()`, `workers == 0`): triggered tthreads
 //!   run on the calling thread at their [`Runtime::join`] point. Fully
 //!   deterministic; captures exactly the paper's redundancy elimination.
-//! * **Parallel** (`workers > 0`): triggers enqueue the tthread on a bounded
-//!   coalescing queue drained by OS worker threads, modelling the spare
-//!   hardware contexts of the HPCA'11 design; the queue-overflow fallback
-//!   executes on the triggering thread, as in the paper. Worker bodies run
-//!   *detached* by default — input snapshot taken under the runtime lock,
-//!   body executed lock-free, stores committed (with change re-detection)
-//!   under the lock afterwards — so they genuinely overlap the main thread;
-//!   see the [`Runtime`] memory-consistency notes and
-//!   [`Config::detached_execution`].
+//! * **Parallel** (`workers > 0`): a trigger advances the tthread's atomic
+//!   status word and enqueues it on a bounded, sharded pending queue
+//!   drained by OS worker threads, modelling the spare hardware contexts
+//!   of the HPCA'11 design; the queue-overflow fallback executes on the
+//!   triggering thread, as in the paper. Worker bodies run *detached* —
+//!   input snapshot of tracked memory, body executed off the runtime lock,
+//!   stores committed (with change re-detection) under the lock
+//!   afterwards — so they genuinely overlap the main thread; see the
+//!   [`Runtime`] memory-consistency notes.
 //!
 //! ## Crate map
 //!
@@ -94,7 +94,6 @@
 //! | [`trigger`] | the store-address → tthread trigger table |
 //! | [`tthread`] | tthread ids and the thread status table |
 //! | `dispatch` | the lock-free status word, sharded pending queue, eventcount |
-//! | [`queue`] | the bounded coalescing pending queue (locked baseline) |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
@@ -122,7 +121,6 @@ pub mod heap;
 pub(crate) mod mem;
 pub mod obs;
 pub mod pod;
-pub mod queue;
 pub mod report;
 pub mod runtime;
 pub mod stats;

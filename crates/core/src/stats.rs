@@ -41,9 +41,6 @@ pub struct Counters {
     pub inline_executions: u64,
     /// Executions performed by worker threads.
     pub worker_executions: u64,
-    /// Worker executions that ran detached (off the state lock, against a
-    /// snapshot; see [`crate::config::Config::detached_execution`]).
-    pub detached_executions: u64,
     /// Stores replayed from detached write logs at commit time.
     pub commit_stores: u64,
     /// Replayed stores found silent at commit — another thread had already
@@ -163,7 +160,6 @@ macro_rules! for_each_counter {
             executions,
             inline_executions,
             worker_executions,
-            detached_executions,
             commit_stores,
             commit_conflicts,
             skips,
@@ -538,8 +534,8 @@ impl fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "executions            {:>12}  (inline {}, worker {}, detached {})",
-            c.executions, c.inline_executions, c.worker_executions, c.detached_executions
+            "executions            {:>12}  (inline {}, worker {})",
+            c.executions, c.inline_executions, c.worker_executions
         )?;
         writeln!(
             f,
@@ -729,24 +725,24 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 42);
+        assert_eq!(fields.len(), 41);
         assert_eq!(fields[0], ("tracked_stores", 1));
-        assert_eq!(fields[20], ("bytes_compared", 21));
-        assert_eq!(fields[25], ("overflow_sheds", 26));
-        assert_eq!(fields[28], ("queue_stale_skips", 29));
-        assert_eq!(fields[29], ("steals", 30));
-        assert_eq!(fields[30], ("steal_batches", 31));
-        assert_eq!(fields[31], ("park_timeouts", 32));
-        assert_eq!(fields[32], ("filter_checks", 33));
-        assert_eq!(fields[33], ("filter_page_hits", 34));
-        assert_eq!(fields[34], ("filter_line_hits", 35));
-        assert_eq!(fields[35], ("cascades", 36));
-        assert_eq!(fields[36], ("cascade_enqueues", 37));
-        assert_eq!(fields[37], ("cascade_coalesced", 38));
-        assert_eq!(fields[38], ("cascade_cutoffs", 39));
-        assert_eq!(fields[39], ("wave_dedups", 40));
-        assert_eq!(fields[40], ("trigger_cycles_rejected", 41));
-        assert_eq!(fields[41], ("commit_backoff_waits", 42));
+        assert_eq!(fields[19], ("bytes_compared", 20));
+        assert_eq!(fields[24], ("overflow_sheds", 25));
+        assert_eq!(fields[27], ("queue_stale_skips", 28));
+        assert_eq!(fields[28], ("steals", 29));
+        assert_eq!(fields[29], ("steal_batches", 30));
+        assert_eq!(fields[30], ("park_timeouts", 31));
+        assert_eq!(fields[31], ("filter_checks", 32));
+        assert_eq!(fields[32], ("filter_page_hits", 33));
+        assert_eq!(fields[33], ("filter_line_hits", 34));
+        assert_eq!(fields[34], ("cascades", 35));
+        assert_eq!(fields[35], ("cascade_enqueues", 36));
+        assert_eq!(fields[36], ("cascade_coalesced", 37));
+        assert_eq!(fields[37], ("cascade_cutoffs", 38));
+        assert_eq!(fields[38], ("wave_dedups", 39));
+        assert_eq!(fields[39], ("trigger_cycles_rejected", 40));
+        assert_eq!(fields[40], ("commit_backoff_waits", 41));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

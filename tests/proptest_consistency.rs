@@ -1,10 +1,10 @@
 //! Property test: for arbitrary store/checkpoint schedules, the software
 //! runtime (`dtt-core`) and the timing simulator (`dtt-sim`) make identical
 //! skip decisions — they are two implementations of the same trigger
-//! semantics.
+//! semantics. Also: a pinned worker runtime and the deferred executor make
+//! identical execution decisions on any store/join/force schedule.
 
-use dtt::core::stats::Counters;
-use dtt::core::{Config, JoinOutcome, Runtime, TthreadStatus};
+use dtt::core::{Config, JoinOutcome, Runtime, TrackedArray, TthreadId, TthreadStatus};
 use dtt::sim::{simulate, MachineConfig, SimMode};
 use dtt::trace::TraceBuilder;
 use proptest::prelude::*;
@@ -113,8 +113,8 @@ fn run_simulator(schedule: &[Op]) -> Vec<u64> {
         .collect()
 }
 
-/// A dispatch schedule for the lockfree-vs-locked equivalence property:
-/// stores, targeted joins/forces (the steal paths), and full checkpoints.
+/// A dispatch schedule for the executor equivalence property: stores,
+/// targeted joins/forces (the steal paths), and full checkpoints.
 #[derive(Debug, Clone)]
 enum DispatchOp {
     Store { index: usize, value: u64 },
@@ -136,34 +136,34 @@ fn dispatch_ops() -> impl Strategy<Value = Vec<DispatchOp>> {
 }
 
 /// Everything externally observable about one dispatch run: per-tthread
-/// execution counts, the join-outcome sequence, the pre-checkpoint status
-/// of every tthread, and the counter block.
-type DispatchObservation = (Vec<u64>, Vec<JoinOutcome>, Vec<TthreadStatus>, Counters);
+/// execution counts, the join-outcome sequence, and the pre-drain status
+/// of every tthread.
+type DispatchObservation = (Vec<u64>, Vec<JoinOutcome>, Vec<TthreadStatus>);
 
-/// Drives one runtime through `schedule` and records what a program could
-/// see. With `workers = 0` the deferred executor handles every trigger at
-/// the join point, so both dispatch modes are fully deterministic and the
-/// Clean/Triggered/Running arcs of the status machine are compared.
-fn run_deferred_mode(
-    schedule: &[DispatchOp],
-    lockfree: bool,
-    coalesce: bool,
-) -> DispatchObservation {
-    let cfg = Config::default()
-        .with_workers(0)
-        .with_lockfree_dispatch(lockfree)
-        .with_coalescing(coalesce);
-    let mut rt = Runtime::new(cfg, ());
-    let cells = rt.alloc_array::<u64>(CELLS).unwrap();
-    let tts: Vec<_> = (0..TTHREADS)
+/// Registers the `TTHREADS` empty tthreads over their watch ranges.
+fn register_tthreads(rt: &mut Runtime<()>, cells: TrackedArray<u64>) -> Vec<TthreadId> {
+    (0..TTHREADS)
         .map(|t| {
             let tt = rt.register(&format!("t{t}"), |_| {});
             let (a, b) = watch_range(t);
             rt.watch(tt, cells.range_of(a, b)).unwrap();
-            rt.mark_dirty(tt).unwrap();
             tt
         })
-        .collect();
+        .collect()
+}
+
+/// Marks every tthread dirty, drives `schedule` from the main thread,
+/// records the statuses, then drains every pending trigger with a final
+/// join each (recorded too) and reads the execution counts.
+fn observe(
+    rt: &mut Runtime<()>,
+    cells: TrackedArray<u64>,
+    tts: &[TthreadId],
+    schedule: &[DispatchOp],
+) -> DispatchObservation {
+    for &tt in tts {
+        rt.mark_dirty(tt).unwrap();
+    }
     let mut outcomes = Vec::new();
     for op in schedule {
         match *op {
@@ -171,39 +171,44 @@ fn run_deferred_mode(
             DispatchOp::Join { t } => outcomes.push(rt.join(tts[t]).unwrap()),
             DispatchOp::Force { t } => rt.force(tts[t]).unwrap(),
             DispatchOp::Checkpoint => {
-                for &tt in &tts {
+                for &tt in tts {
                     outcomes.push(rt.join(tt).unwrap());
                 }
             }
         }
     }
     let statuses = tts.iter().map(|&tt| rt.status(tt).unwrap()).collect();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .map(|(_, e, _, _)| e)
+    for &tt in tts {
+        outcomes.push(rt.join(tt).unwrap());
+    }
+    let counters = rt.tthread_counters();
+    let execs = tts
+        .iter()
+        .map(|tt| counters.iter().find(|(id, ..)| id == tt).unwrap().1)
         .collect();
-    let counters = rt.stats().counters().clone();
-    (execs, outcomes, statuses, counters)
+    (execs, outcomes, statuses)
 }
 
-/// Same idea with a real worker — but the worker spends the whole schedule
-/// pinned inside a barrier-parked tthread, so the Queued arcs (enqueue,
-/// coalesce/rerun-flag absorb, join steal, stale queue entries) are
+/// The deferred executor (`workers = 0`): every trigger is handled at the
+/// join point, fully deterministically — the oracle.
+fn run_deferred_mode(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation {
+    let cfg = Config::default().with_workers(0).with_coalescing(coalesce);
+    let mut rt = Runtime::new(cfg, ());
+    let cells = rt.alloc_array::<u64>(CELLS).unwrap();
+    let tts = register_tthreads(&mut rt, cells);
+    observe(&mut rt, cells, &tts, schedule)
+}
+
+/// A real worker that spends the whole schedule pinned inside a
+/// barrier-parked tthread, so the Queued arcs (enqueue, coalesce and
+/// rerun-flag absorb, join and force steals, stale queue entries) are
 /// exercised deterministically from the main thread alone. The queue is
-/// big enough that lazy (token-based) vs eager entry removal can't change
-/// when it fills. Parks/wakes are timing-dependent and zeroed out before
-/// the comparison; everything else must match.
-fn run_pinned_worker_mode(
-    schedule: &[DispatchOp],
-    lockfree: bool,
-    coalesce: bool,
-) -> DispatchObservation {
+/// big enough never to overflow.
+fn run_pinned_worker_mode(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation {
     let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
     let cfg = Config::default()
         .with_workers(1)
         .with_queue_capacity(4096)
-        .with_lockfree_dispatch(lockfree)
         .with_coalescing(coalesce);
     let mut rt = Runtime::new(cfg, ());
     let g = std::sync::Arc::clone(&gate);
@@ -211,56 +216,41 @@ fn run_pinned_worker_mode(
         g.wait();
     });
     let cells = rt.alloc_array::<u64>(CELLS).unwrap();
-    let tts: Vec<_> = (0..TTHREADS)
-        .map(|t| {
-            let tt = rt.register(&format!("t{t}"), |_| {});
-            let (a, b) = watch_range(t);
-            rt.watch(tt, cells.range_of(a, b)).unwrap();
-            tt
-        })
-        .collect();
+    let tts = register_tthreads(&mut rt, cells);
     rt.mark_dirty(blocker).unwrap();
     let start = std::time::Instant::now();
     while rt.status(blocker).unwrap() != TthreadStatus::Running {
         assert!(start.elapsed() < std::time::Duration::from_secs(10));
         std::thread::yield_now();
     }
-
-    let mut outcomes = Vec::new();
-    for op in schedule {
-        match *op {
-            DispatchOp::Store { index, value } => rt.with(|ctx| ctx.write(cells, index, value)),
-            DispatchOp::Join { t } => outcomes.push(rt.join(tts[t]).unwrap()),
-            DispatchOp::Force { t } => rt.force(tts[t]).unwrap(),
-            DispatchOp::Checkpoint => {
-                for &tt in &tts {
-                    outcomes.push(rt.join(tt).unwrap());
-                }
-            }
-        }
-    }
-    let statuses: Vec<_> = tts.iter().map(|&tt| rt.status(tt).unwrap()).collect();
-    // Drain every pending trigger deterministically (steals) while the
-    // worker is still pinned, so the execution counts below can't race
-    // the worker's own drain after release.
-    for &tt in &tts {
-        outcomes.push(rt.join(tt).unwrap());
-    }
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .map(|(_, e, _, _)| e)
-        .collect();
-    let mut counters = rt.stats().counters().clone();
-    counters.worker_wakes = 0;
-    counters.worker_parks = 0;
-    // Timing-dependent like parks: the worker may time out of a park in
-    // the window before it gets pinned. Steals stay *unzeroed* — with a
-    // single worker every shard is local, so both modes must report zero.
-    counters.park_timeouts = 0;
+    // The final drain steals every pending trigger while the worker is
+    // still pinned, so the execution counts can't race its own drain.
+    let observation = observe(&mut rt, cells, &tts, schedule);
     gate.wait();
     rt.join_all().unwrap();
-    (execs, outcomes, statuses, counters)
+    observation
+}
+
+/// Renames the pinned worker's executor-specific names to the deferred
+/// executor's: where the deferred executor holds a tthread Triggered and
+/// runs it inline at the join, the worker runtime holds it Queued and the
+/// join steals it.
+fn as_deferred((execs, outcomes, statuses): DispatchObservation) -> DispatchObservation {
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| match o {
+            JoinOutcome::Stolen => JoinOutcome::RanInline,
+            o => o,
+        })
+        .collect();
+    let statuses = statuses
+        .into_iter()
+        .map(|s| match s {
+            TthreadStatus::Queued => TthreadStatus::Triggered,
+            s => s,
+        })
+        .collect();
+    (execs, outcomes, statuses)
 }
 
 proptest! {
@@ -289,36 +279,28 @@ proptest! {
         }
     }
 
-    /// The lock-free status machine is an exact drop-in for the locked
-    /// baseline on the deferred (workers = 0) executor: for any
-    /// store/join/force/checkpoint schedule the two dispatch modes produce
-    /// identical execution counts, join outcomes, statuses, *and counters*.
+    /// The worker runtime's status machine makes exactly the deferred
+    /// executor's decisions with coalescing on: for any
+    /// store/join/force/checkpoint schedule, identical per-tthread
+    /// execution counts, and identical join outcomes and statuses up to
+    /// the Queued/Stolen names.
     #[test]
-    fn lockfree_dispatch_matches_locked_deferred_baseline(
-        schedule in dispatch_ops(),
-        coalesce in prop::bool::ANY,
-    ) {
-        let lockfree = run_deferred_mode(&schedule, true, coalesce);
-        let locked = run_deferred_mode(&schedule, false, coalesce);
-        prop_assert_eq!(lockfree, locked);
+    fn pinned_worker_matches_deferred_executor_with_coalescing(schedule in dispatch_ops()) {
+        prop_assert_eq!(
+            as_deferred(run_pinned_worker_mode(&schedule, true)),
+            run_deferred_mode(&schedule, true)
+        );
     }
 
-    /// The Queued arcs (enqueue, absorb, steal, stale entries) with a real
-    /// — but pinned — worker. With coalescing on, even the counters must
-    /// match exactly; with coalescing off the two modes represent repeat
-    /// triggers differently (rerun flag vs duplicate queue entries), so
-    /// the enqueue/coalesce counter split legitimately diverges while
-    /// everything a program can observe must still match.
+    /// The same with coalescing off: the worker runtime folds a repeat
+    /// trigger on a Queued tthread into the rerun flag, and a steal runs
+    /// it once, just as the deferred executor absorbs a repeat trigger on
+    /// a Triggered one.
     #[test]
-    fn lockfree_dispatch_matches_locked_queued_baseline(
-        schedule in dispatch_ops(),
-        coalesce in prop::bool::ANY,
-    ) {
-        let (le, lo, ls, lc) = run_pinned_worker_mode(&schedule, true, coalesce);
-        let (be, bo, bs, bc) = run_pinned_worker_mode(&schedule, false, coalesce);
-        prop_assert_eq!((le, lo, ls), (be, bo, bs));
-        if coalesce {
-            prop_assert_eq!(lc, bc);
-        }
+    fn pinned_worker_matches_deferred_executor_without_coalescing(schedule in dispatch_ops()) {
+        prop_assert_eq!(
+            as_deferred(run_pinned_worker_mode(&schedule, false)),
+            run_deferred_mode(&schedule, false)
+        );
     }
 }

@@ -1,11 +1,12 @@
 //! Stress tests for the parallel executor: many tthreads, tight queues,
 //! sustained trigger pressure, and concurrent completion tracking.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dtt_core::tthread::{TthreadId, TthreadStatus};
-use dtt_core::{Config, JoinOutcome, OverflowPolicy, Runtime};
+use dtt_core::{Config, JoinOutcome, OverflowPolicy, Runtime, Tracked};
 
 /// Spins until `tthread` is observed `Running` on a worker; panics after a
 /// generous timeout so a regression fails rather than hangs.
@@ -23,9 +24,9 @@ fn wait_until_running<U: Send + 'static>(rt: &Runtime<U>, tthread: TthreadId) {
 /// Regression test for the fake-overlap bug: the worker must release the
 /// state lock while a tthread body runs. The body parks on a barrier
 /// mid-execution; the main thread then performs tracked stores and joins an
-/// unrelated tthread while the body is provably still running. Under the
-/// old attached executor (body under the state lock) every one of those
-/// main-thread operations would deadlock.
+/// unrelated tthread while the body is provably still running. A body
+/// run under the state lock would deadlock every one of those main-thread
+/// operations.
 #[test]
 fn worker_body_runs_off_the_state_lock() {
     let gate = Arc::new(Barrier::new(2));
@@ -65,115 +66,117 @@ fn worker_body_runs_off_the_state_lock() {
     // `other` committed before `slow` resumed, so `slow` saw its update.
     assert_eq!(rt.with(|ctx| *ctx.user()), 107);
     let c = rt.stats();
-    assert_eq!(c.counters().detached_executions, 1);
+    assert_eq!(c.counters().worker_executions, 1);
     assert_eq!(c.counters().inline_executions, 1);
 }
 
-/// Regression test for the overflow double-execution bug: with coalescing
-/// off, a trigger for an already-Queued tthread that overflows the queue
-/// used to run the tthread inline *and* leave the stale queue entry behind
-/// for a worker to run again. The inline run must be the only run.
-///
-/// Pinned to the locked baseline: only the locked queue represents repeat
-/// triggers as duplicate entries, so only there can the overflow + stale
-/// entry interleaving exist. The lock-free path folds repeats into the
-/// rerun flag instead — see `lockfree_rerun_flag_replaces_queue_duplicates`.
-#[test]
-fn queue_overflow_inline_executes_exactly_once() {
-    let gate = Arc::new(Barrier::new(2));
+/// Releases a blocker tthread spinning on its flag when dropped, so a
+/// failing assertion unwinds instead of hanging: the runtime's drop waits
+/// for the pinned worker to leave the blocker's body.
+struct Release(Arc<AtomicBool>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Registers a `blocker` spinning until released, a no-op `filler`
+/// watching `y`, and a `victim` summing `x` into the user state, then pins
+/// the only worker inside `blocker` and queues `filler`, so the capacity-1
+/// pending queue is full before the victim's first trigger. The returned
+/// guard, last in the tuple so it drops before the runtime, releases the
+/// worker.
+fn full_queue_runtime(
+    overflow: OverflowPolicy,
+) -> (Runtime<u64>, Tracked<u64>, TthreadId, Release) {
     let cfg = Config::default()
         .with_workers(1)
         .with_queue_capacity(1)
-        .with_coalescing(false)
-        .with_lockfree_dispatch(false)
-        .with_overflow(OverflowPolicy::ExecuteInline);
+        .with_overflow(overflow);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
+    let y = rt.alloc(0u64).unwrap();
 
-    let g = Arc::clone(&gate);
+    let released = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&released);
     let blocker = rt.register("blocker", move |_| {
-        g.wait();
+        while !flag.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
     });
+    let filler = rt.register("filler", |_| {});
+    rt.watch(filler, y.range()).unwrap();
     let victim = rt.register("victim", move |ctx| {
         let v = ctx.get(x);
         *ctx.user_mut() += v;
     });
     rt.watch(victim, x.range()).unwrap();
 
-    // Pin the only worker inside `blocker` so nothing drains the queue.
+    // Pin the only worker inside `blocker` so nothing drains the queue,
+    // then fill the queue's single slot with `filler`.
     rt.mark_dirty(blocker).unwrap();
     wait_until_running(&rt, blocker);
+    rt.write(y, 1);
+    assert_eq!(rt.status(filler).unwrap(), TthreadStatus::Queued);
+    (rt, x, victim, Release(released))
+}
 
-    rt.write(x, 1); // victim enqueued; queue now full
-    rt.write(x, 2); // no coalescing: queue overflows -> victim runs inline
+/// Executions of `tthread` so far.
+fn executions_of<U: Send + 'static>(rt: &Runtime<U>, tthread: TthreadId) -> u64 {
+    rt.tthread_counters()
+        .into_iter()
+        .find(|(id, ..)| *id == tthread)
+        .map(|(_, e, ..)| e)
+        .unwrap()
+}
+
+/// Regression test for the overflow double-execution bug: a trigger that
+/// overflows the queue runs its tthread inline, and no queue entry may be
+/// left behind for a worker to run it a second time. A second queued
+/// tthread fills the capacity-1 queue, so the victim's trigger overflows.
+#[test]
+fn queue_overflow_inline_executes_exactly_once() {
+    let (mut rt, x, victim, release) = full_queue_runtime(OverflowPolicy::ExecuteInline);
+
+    rt.write(x, 2); // queue full: victim overflows and runs inline
     assert_eq!(rt.stats().counters().queue_overflows, 1);
-    // The inline run saw the latest value and the stale queue entry is
-    // gone, so the worker has nothing left to re-execute.
+    assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Clean);
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 
-    gate.wait();
+    drop(release);
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1, "overflowed tthread must execute exactly once");
+    assert_eq!(
+        executions_of(&rt, victim),
+        1,
+        "overflowed tthread must execute exactly once"
+    );
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
-/// Same stale-entry scenario under `DeferToJoin`: the overflowed trigger
-/// reverts the tthread to Triggered (out of the queue), so the next join
-/// runs it inline exactly once. Locked baseline only, as above.
+/// Same overflow under `DeferToJoin`: the overflowed trigger leaves the
+/// victim Triggered (never queued), so the next join runs it inline
+/// exactly once and no worker runs it again.
 #[test]
 fn queue_overflow_defer_to_join_runs_once_at_join() {
-    let gate = Arc::new(Barrier::new(2));
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_queue_capacity(1)
-        .with_coalescing(false)
-        .with_lockfree_dispatch(false)
-        .with_overflow(OverflowPolicy::DeferToJoin);
-    let mut rt = Runtime::new(cfg, 0u64);
-    let x = rt.alloc(0u64).unwrap();
+    let (mut rt, x, victim, release) = full_queue_runtime(OverflowPolicy::DeferToJoin);
 
-    let g = Arc::clone(&gate);
-    let blocker = rt.register("blocker", move |_| {
-        g.wait();
-    });
-    let victim = rt.register("victim", move |ctx| {
-        let v = ctx.get(x);
-        *ctx.user_mut() += v;
-    });
-    rt.watch(victim, x.range()).unwrap();
-
-    rt.mark_dirty(blocker).unwrap();
-    wait_until_running(&rt, blocker);
-
-    rt.write(x, 1);
     rt.write(x, 2);
+    assert_eq!(rt.stats().counters().queue_overflows, 1);
     assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Triggered);
     assert_eq!(rt.join(victim).unwrap(), JoinOutcome::RanInline);
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 
-    gate.wait();
+    drop(release);
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1);
+    assert_eq!(executions_of(&rt, victim), 1);
+    assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
-/// The lock-free counterpart of the overflow regressions above: with
-/// coalescing off, a repeat trigger for a Queued tthread folds into the
-/// status word's rerun flag instead of a duplicate queue entry, so the
+/// With coalescing off, a repeat trigger for a Queued tthread folds into
+/// the status word's rerun flag instead of a duplicate queue entry, so the
 /// queue cannot overflow from repeats at all — and a join that steals the
-/// queued tthread coalesces the pending rerun into its single inline run,
-/// exactly like the locked path's remove-all-duplicates steal.
+/// queued tthread coalesces the pending rerun into its single inline run.
 #[test]
 fn lockfree_rerun_flag_replaces_queue_duplicates() {
     let gate = Arc::new(Barrier::new(2));
@@ -181,7 +184,6 @@ fn lockfree_rerun_flag_replaces_queue_duplicates() {
         .with_workers(1)
         .with_queue_capacity(1)
         .with_coalescing(false)
-        .with_lockfree_dispatch(true)
         .with_overflow(OverflowPolicy::ExecuteInline);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
@@ -212,27 +214,23 @@ fn lockfree_rerun_flag_replaces_queue_duplicates() {
 
     gate.wait();
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1, "the stolen run must cover the folded rerun");
+    assert_eq!(
+        executions_of(&rt, victim),
+        1,
+        "the stolen run must cover the folded rerun"
+    );
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
 /// Wake discipline (counter-based, no timing): silent stores and coalesced
-/// triggers must not wake workers — only a `PushOutcome::Enqueued` unit of
-/// work pays for a notification. The invariant is checked on the runtime's
+/// triggers must not wake workers — only a newly enqueued unit of work
+/// pays for a notification. The invariant is checked on the runtime's
 /// own counters, so a regression shows up as a count mismatch rather than
 /// a flaky timing window.
 #[test]
 fn silent_and_coalesced_stores_do_not_wake_workers() {
     let gate = Arc::new(Barrier::new(2));
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_lockfree_dispatch(true);
+    let cfg = Config::default().with_workers(1);
     let mut rt = Runtime::new(cfg, 0u64);
     let y = rt.alloc(0u64).unwrap();
 
@@ -286,41 +284,6 @@ fn silent_and_coalesced_stores_do_not_wake_workers() {
         s.counters().worker_wakes,
         s.counters().enqueues
     );
-}
-
-/// The legacy attached executor (ablation baseline) still converges to the
-/// same published values as the detached one.
-#[test]
-fn attached_ablation_converges() {
-    for detached in [false, true] {
-        let cfg = Config::default()
-            .with_workers(2)
-            .with_detached_execution(detached);
-        let mut rt = Runtime::new(cfg, 0u64);
-        let xs = rt.alloc_array::<u64>(8).unwrap();
-        let tt = rt.register("sum", move |ctx| {
-            let s: u64 = (0..8).map(|i| ctx.read(xs, i)).sum();
-            *ctx.user_mut() = s;
-        });
-        rt.watch(tt, xs.range()).unwrap();
-        for round in 1..=20u64 {
-            for i in 0..8 {
-                rt.with(|ctx| ctx.write(xs, i, round + i as u64));
-            }
-            rt.join(tt).unwrap();
-            let expect: u64 = (0..8).map(|i| round + i).sum();
-            assert_eq!(rt.with(|ctx| *ctx.user()), expect);
-        }
-        let c = rt.stats();
-        if detached {
-            assert_eq!(
-                c.counters().detached_executions,
-                c.counters().worker_executions
-            );
-        } else {
-            assert_eq!(c.counters().detached_executions, 0);
-        }
-    }
 }
 
 /// Sustained pressure: 32 tthreads over disjoint slices, thousands of
