@@ -5,6 +5,17 @@ use std::time::Duration;
 use crate::addr::Granularity;
 use crate::fault::FaultPlan;
 
+/// Maximum depth of tthreads triggering tthreads before
+/// [`crate::error::Error::CascadeDepthExceeded`] aborts the cascade.
+pub(crate) const MAX_CASCADE_DEPTH: u32 = 64;
+
+/// Maximum bytes the tracked arena may grow to.
+pub(crate) const ARENA_CAPACITY: u64 = 1 << 32;
+
+/// How many pending tthreads the triggering thread drains inline per
+/// overflow under [`OverflowPolicy::Backpressure`] before shedding.
+pub(crate) const BACKPRESSURE_ASSIST_BUDGET: u32 = 4;
+
 /// What the runtime does when a trigger fires while the thread queue is full.
 ///
 /// The HPCA'11 design lets the *triggering* (main) thread execute the tthread
@@ -18,10 +29,9 @@ pub enum OverflowPolicy {
     /// Leave the tthread marked triggered; it runs at the next `join`.
     DeferToJoin,
     /// Apply backpressure: the triggering thread drains the oldest pending
-    /// tthreads inline (up to [`Config::backpressure_assist_budget`] per
-    /// overflow) to free a slot. If the queue is still full afterwards the
-    /// trigger is *shed* — left marked triggered for the next `join` — and
-    /// counted in `overflow_sheds`.
+    /// tthreads inline (up to four per overflow) to free a slot. If the
+    /// queue is still full afterwards the trigger is *shed* — left marked
+    /// triggered for the next `join` — and counted in `overflow_sheds`.
     Backpressure,
 }
 
@@ -63,11 +73,6 @@ pub struct Config {
     pub workers: usize,
     /// Behaviour on queue overflow (parallel executor only).
     pub overflow: OverflowPolicy,
-    /// Maximum depth of tthreads triggering tthreads before
-    /// [`crate::error::Error::CascadeDepthExceeded`] aborts the cascade.
-    pub max_cascade_depth: u32,
-    /// Maximum bytes the tracked arena may grow to.
-    pub arena_capacity: u64,
     /// Number of lock stripes sharding the tracked-memory hot path (value
     /// compare + access counters). Always a power of two; `1` serializes
     /// every tracked access on one lock, reproducing the pre-sharding
@@ -117,9 +122,6 @@ pub struct Config {
     /// budget in microseconds and gives the storm time to subside.
     /// Counted in `commit_backoff_waits`.
     pub commit_backoff: Option<Duration>,
-    /// How many pending tthreads the triggering thread will drain inline
-    /// per overflow under [`OverflowPolicy::Backpressure`] before shedding.
-    pub backpressure_assist_budget: u32,
     /// Work stealing: an idle worker whose own
     /// pending-queue shards are empty migrates a batch from the fullest
     /// foreign shard before parking, keeping every worker busy whenever
@@ -127,15 +129,6 @@ pub struct Config {
     /// affinity scheduling as an ablation — an imbalanced trigger
     /// distribution then serializes on the shard's owning worker.
     pub work_stealing: bool,
-    /// Detect changes in bulk stores with the vectorized 64-byte-line lane
-    /// loop (eight xor'd words per step, branch-free over silent lines)
-    /// instead of word-at-a-time comparison. Semantics are identical (the
-    /// equivalence proptest pins changed counts and run vectors); disabling
-    /// it restores the scalar path as an ablation.
-    ///
-    /// The default is `true` and can be overridden with the `DTT_SIMD`
-    /// environment variable (`0`/`false` disable).
-    pub simd_store: bool,
     /// Early cutoff for trigger waves: when a cascade-driven recomputation
     /// commits fully silently (zero non-silent watched lines), the wave
     /// stops there instead of invalidating downstream tthreads — the
@@ -191,11 +184,6 @@ fn env_bool(var: &str, warn_once: &'static std::sync::Once, default: bool) -> bo
         }),
         Err(_) => default,
     }
-}
-
-fn default_simd_store() -> bool {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    env_bool("DTT_SIMD", &WARN, true)
 }
 
 fn default_early_cutoff() -> bool {
@@ -254,8 +242,6 @@ impl Default for Config {
             queue_capacity: 64,
             workers: 0,
             overflow: OverflowPolicy::default(),
-            max_cascade_depth: 64,
-            arena_capacity: 1 << 32,
             mem_shards: default_mem_shards(),
             observability: false,
             obs_ring_capacity: 1024,
@@ -263,9 +249,7 @@ impl Default for Config {
             body_deadline: None,
             commit_retry_cap: 8,
             commit_backoff: None,
-            backpressure_assist_budget: 4,
             work_stealing: true,
-            simd_store: default_simd_store(),
             early_cutoff: default_early_cutoff(),
             park_timeout: default_park_timeout(),
         }
@@ -311,18 +295,6 @@ impl Config {
     /// Sets the queue-overflow policy.
     pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
         self.overflow = policy;
-        self
-    }
-
-    /// Sets the maximum trigger-cascade depth.
-    pub fn with_max_cascade_depth(mut self, depth: u32) -> Self {
-        self.max_cascade_depth = depth;
-        self
-    }
-
-    /// Sets the tracked-arena capacity in bytes.
-    pub fn with_arena_capacity(mut self, bytes: u64) -> Self {
-        self.arena_capacity = bytes;
         self
     }
 
@@ -374,23 +346,10 @@ impl Config {
         self
     }
 
-    /// Sets the inline-drain budget for [`OverflowPolicy::Backpressure`].
-    pub fn with_backpressure_assist_budget(mut self, budget: u32) -> Self {
-        self.backpressure_assist_budget = budget;
-        self
-    }
-
     /// Enables or disables work stealing between pending-queue shards
     /// (`false` restores park-on-empty affinity scheduling for ablations).
     pub fn with_work_stealing(mut self, on: bool) -> Self {
         self.work_stealing = on;
-        self
-    }
-
-    /// Enables or disables the vectorized bulk-store change detection
-    /// (`false` restores the word-at-a-time scalar path for ablations).
-    pub fn with_simd_store(mut self, on: bool) -> Self {
-        self.simd_store = on;
         self
     }
 
@@ -440,12 +399,10 @@ mod tests {
         assert_eq!(cfg.body_deadline, None);
         assert_eq!(cfg.commit_retry_cap, 8);
         assert_eq!(cfg.commit_backoff, None);
-        assert_eq!(cfg.backpressure_assist_budget, 4);
         assert!(cfg.work_stealing);
         assert!(!cfg.park_timeout.is_zero());
-        // Honors DTT_SIMD and DTT_EARLY_CUTOFF, defaulting on; the test
-        // environment may set either, so just check the builder wiring
-        // below.
+        // Honors DTT_EARLY_CUTOFF, defaulting on; the test environment
+        // may set it, so just check the builder wiring below.
     }
 
     #[test]
@@ -457,8 +414,6 @@ mod tests {
             .with_queue_capacity(3)
             .with_workers(4)
             .with_overflow(OverflowPolicy::DeferToJoin)
-            .with_max_cascade_depth(7)
-            .with_arena_capacity(1024)
             .with_mem_shards(5)
             .with_observability(true)
             .with_obs_ring_capacity(100)
@@ -466,9 +421,7 @@ mod tests {
             .with_body_deadline(Duration::from_millis(250))
             .with_commit_retry_cap(3)
             .with_commit_backoff(Duration::from_micros(50))
-            .with_backpressure_assist_budget(2)
             .with_work_stealing(false)
-            .with_simd_store(false)
             .with_early_cutoff(false)
             .with_park_timeout(Duration::from_millis(20));
         assert_eq!(cfg.granularity, Granularity::Line);
@@ -478,8 +431,6 @@ mod tests {
         assert_eq!(cfg.workers, 4);
         assert!(!cfg.is_deferred());
         assert_eq!(cfg.overflow, OverflowPolicy::DeferToJoin);
-        assert_eq!(cfg.max_cascade_depth, 7);
-        assert_eq!(cfg.arena_capacity, 1024);
         // Shard counts normalize to the next power of two.
         assert_eq!(cfg.mem_shards, 8);
         assert_eq!(Config::default().with_mem_shards(0).mem_shards, 1);
@@ -497,11 +448,8 @@ mod tests {
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));
         assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
-        assert_eq!(cfg.backpressure_assist_budget, 2);
         assert!(!cfg.work_stealing);
         assert!(Config::default().with_work_stealing(true).work_stealing);
-        assert!(!cfg.simd_store);
-        assert!(Config::default().with_simd_store(true).simd_store);
         assert!(!cfg.early_cutoff);
         assert!(Config::default().with_early_cutoff(true).early_cutoff);
         assert_eq!(cfg.park_timeout, Duration::from_millis(20));

@@ -34,7 +34,7 @@ use std::cell::OnceCell;
 
 use parking_lot::MutexGuard;
 
-use crate::config::OverflowPolicy;
+use crate::config::{OverflowPolicy, BACKPRESSURE_ASSIST_BUDGET, MAX_CASCADE_DEPTH};
 use crate::dispatch::PendingPush;
 use crate::error::Error;
 use crate::handle::{Tracked, TrackedArray};
@@ -492,38 +492,21 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
         // Locked mode: encode once, let the sharded arena run the
         // per-element compare under a single stripe-lock acquisition, then
-        // dispatch each changed run. The vectorized store path encodes in
-        // one pass over a pre-sized buffer; the ablation keeps the legacy
-        // element-at-a-time append (a grow-check per element), so
-        // `simd_store` off reproduces the pre-vectorization bulk path
-        // end to end.
-        let data = if self.inner.cfg.simd_store {
-            // The scratch buffer persists across calls, so past the first
-            // call the encode is one pass with no allocation or zero-fill
-            // (every byte below `n * T::SIZE` is overwritten).
-            let mut data = std::mem::take(&mut self.locked().bulk_scratch);
-            data.resize(n * T::SIZE, 0);
-            for (enc, v) in data.chunks_exact_mut(T::SIZE).zip(values) {
-                v.write_le(enc);
-            }
-            data
-        } else {
-            let mut data = Vec::with_capacity(n * T::SIZE);
-            let mut buf = [0u8; 16];
-            for v in values {
-                let enc = &mut buf[..T::SIZE];
-                v.write_le(enc);
-                data.extend_from_slice(enc);
-            }
-            data
-        };
+        // dispatch each changed run. The scratch buffer persists across
+        // calls, so past the first call the encode is one pass with no
+        // allocation or zero-fill (every byte below `n * T::SIZE` is
+        // overwritten).
+        let mut data = std::mem::take(&mut self.locked().bulk_scratch);
+        data.resize(n * T::SIZE, 0);
+        for (enc, v) in data.chunks_exact_mut(T::SIZE).zip(values) {
+            v.write_le(enc);
+        }
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let changed_elems = self
             .inner
             .mem
             .store_elems(range, &data, T::SIZE, detect, &mut runs);
         {
-            let recycle = self.inner.cfg.simd_store;
             let state = self.locked();
             let stats = &mut state.stats;
             stats.tracked_stores += n as u64;
@@ -532,9 +515,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 stats.silent_stores += (n - changed_elems) as u64;
             }
             stats.changing_stores += changed_elems as u64;
-            if recycle {
-                state.bulk_scratch = data;
-            }
+            state.bulk_scratch = data;
         }
         if self.depth > 0 && self.cur.is_some() {
             // Early-cutoff accounting: each element counts as one dispatched
@@ -725,8 +706,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     fn backpressure(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
         let dispatch = &inner.dispatch;
-        let budget = inner.cfg.backpressure_assist_budget;
-        for _ in 0..budget {
+        for _ in 0..BACKPRESSURE_ASSIST_BUDGET {
             let Some((vraw, vtoken)) = dispatch.pending.pop(0) else {
                 break;
             };
@@ -765,16 +745,15 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     ///
     /// # Panics
     ///
-    /// Panics if the trigger cascade exceeds
-    /// [`crate::config::Config::max_cascade_depth`]. A panic from the
-    /// tthread body itself is re-raised after the tthread is marked
-    /// poisoned, so the runtime stays usable.
+    /// Panics if the trigger cascade exceeds [`MAX_CASCADE_DEPTH`]. A panic
+    /// from the tthread body itself is re-raised after the tthread is
+    /// marked poisoned, so the runtime stays usable.
     pub(crate) fn run_inline(&mut self, id: TthreadId) {
         let next_depth = self.depth + 1;
         assert!(
-            next_depth <= self.inner.cfg.max_cascade_depth,
+            next_depth <= MAX_CASCADE_DEPTH,
             "{}",
-            Error::CascadeDepthExceeded(self.inner.cfg.max_cascade_depth)
+            Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
         );
         let func = self.inner.tthread_fn(id);
         let inner = self.inner;

@@ -68,10 +68,6 @@ pub(crate) struct ShardedMem {
     locks: Box<[Mutex<()>]>,
     /// `locks.len() - 1`, for mask-based stripe hashing.
     mask: u64,
-    /// Use the vectorized 64-byte-line change-detection loop in
-    /// [`ShardedMem::store_elems`] ([`crate::config::Config::simd_store`]);
-    /// off restores the word-at-a-time scalar path as an ablation.
-    simd: bool,
 }
 
 impl std::fmt::Debug for ShardedMem {
@@ -95,9 +91,8 @@ enum StripeGuards<'a> {
 
 impl ShardedMem {
     /// Creates an empty arena bounded at `capacity` bytes with `shards`
-    /// stripe locks (rounded up to a power of two, minimum 1). `simd_store`
-    /// selects the vectorized bulk change-detection loop.
-    pub(crate) fn new(capacity: u64, shards: usize, simd_store: bool) -> Self {
+    /// stripe locks (rounded up to a power of two, minimum 1).
+    pub(crate) fn new(capacity: u64, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let nchunks = capacity.div_ceil(8).div_ceil(CHUNK_WORDS) as usize;
         ShardedMem {
@@ -107,7 +102,6 @@ impl ShardedMem {
             alloc_lock: Mutex::new(()),
             locks: (0..shards).map(|_| Mutex::new(())).collect(),
             mask: (shards - 1) as u64,
-            simd: simd_store,
         }
     }
 
@@ -224,16 +218,15 @@ impl ShardedMem {
 
     /// Writes `data` at `range`, comparing against the old contents when
     /// `detect_change` is set; same contract as [`TrackedHeap::store_bytes`].
+    /// The whole range is one element of [`ShardedMem::store_elems`].
     pub(crate) fn store_bytes(
         &self,
         range: AddrRange,
         data: &[u8],
         detect_change: bool,
     ) -> StoreEffect {
-        self.check_range(range).expect("store out of bounds");
-        assert_eq!(data.len() as u64, range.len(), "store size mismatch");
-        let _guards = self.lock_range(range);
-        let changed = self.write_words(range, data);
+        let mut runs = Vec::new();
+        let changed = self.store_elems(range, data, data.len(), detect_change, &mut runs) > 0;
         if detect_change {
             StoreEffect {
                 changed,
@@ -396,7 +389,19 @@ impl ShardedMem {
     /// acquisition, records runs of *changed* element indices into `runs`
     /// (cleared first), and returns the number of changed elements. With
     /// `detect_change` off every element counts as changed, matching
-    /// [`TrackedHeap::store_bytes`] semantics.
+    /// [`TrackedHeap::store_bytes`] semantics. Trailing bytes beyond the
+    /// last whole element are left unwritten.
+    ///
+    /// One walk over the words does every compare. Where elements tile
+    /// words exactly (`elem_size` divides 8 and the range starts
+    /// elem-aligned), whole 64-byte lines take the *line step*: eight
+    /// xor'd words OR-reduce to one test, so a silent line costs eight
+    /// loads and one branch, and per-element work happens only on changed
+    /// lines. Every other word — partial head and tail words, sub-line
+    /// tails, odd element sizes, unaligned starts, words at a chunk edge —
+    /// takes the *word step*: one load/compare/store, with a rolling
+    /// element cursor turning the word's xor into per-element change bits
+    /// even when one element spans several words.
     pub(crate) fn store_elems(
         &self,
         range: AddrRange,
@@ -418,13 +423,19 @@ impl ShardedMem {
             run_start: Option<usize>,
         }
         impl RunState {
+            /// Marks the `cnt` elements from index `k` as all changed or
+            /// all unchanged.
             #[inline]
-            fn mark(&mut self, k: usize, changed: bool, runs: &mut Vec<(usize, usize)>) {
+            fn mark(
+                &mut self,
+                k: usize,
+                cnt: usize,
+                changed: bool,
+                runs: &mut Vec<(usize, usize)>,
+            ) {
                 if changed {
-                    self.changed_elems += 1;
-                    if self.run_start.is_none() {
-                        self.run_start = Some(k);
-                    }
+                    self.changed_elems += cnt;
+                    self.run_start.get_or_insert(k);
                 } else if let Some(start) = self.run_start.take() {
                     runs.push((start, k));
                 }
@@ -434,250 +445,104 @@ impl ShardedMem {
             changed_elems: 0,
             run_start: None,
         };
-        if elem_size <= 8
-            && 8 % elem_size == 0
-            && range.start().raw().is_multiple_of(elem_size as u64)
-        {
-            // Element boundaries coincide with word-segment boundaries
-            // (`elem_size` divides 8 and the range starts elem-aligned), so
-            // each word is one load/compare/store covering whole elements:
-            // the per-element change bits fall out of comparing the old and
-            // new word bytes. Chunk lookup is hoisted out of the word loop.
-            let mut pos = range.start().raw();
-            let end = range.end().raw();
-            let mut o = 0usize;
-            while pos < end {
-                let (chunk, mut idx) = self.chunk_of(pos >> 3);
-                while pos < end && idx < chunk.len() {
-                    if pos & 7 == 0 && end - pos >= 8 {
-                        // Whole aligned words: fixed-size decode, one
-                        // compare per word, per-element work only on the
-                        // words that actually changed.
-                        let span = (((end - pos) >> 3) as usize).min(chunk.len() - idx);
-                        let per = 8 / elem_size;
-                        let base = o / elem_size;
-                        let words = &chunk[idx..idx + span];
-                        let src = &data[o..o + span * 8];
-                        let le64 = |s: &[u8], k: usize| {
-                            u64::from_le_bytes(s[k..k + 8].try_into().expect("8 bytes"))
-                        };
-                        if !detect_change {
-                            for (word, ed) in words.iter().zip(src.chunks_exact(8)) {
-                                let new = le64(ed, 0);
-                                if new != word.load(Ordering::Relaxed) {
-                                    word.store(new, Ordering::Relaxed);
-                                }
-                            }
-                            st.changed_elems += span * per;
-                            if st.run_start.is_none() {
-                                st.run_start = Some(base);
-                            }
-                        } else {
-                            let mut i = 0usize;
-                            if self.simd {
-                                // Vectorized line loop: eight words (one
-                                // 64-byte line) per step, branch-free over
-                                // the lane bodies — the xor lanes OR-reduce
-                                // to one per-line change word, so a silent
-                                // line costs eight loads and one compare,
-                                // with no per-word branching for the
-                                // autovectorizer to trip on. Per-element
-                                // work happens only on changed lines.
-                                let ebits = elem_size * 8;
-                                let emask = if elem_size == 8 {
-                                    u64::MAX
-                                } else {
-                                    (1u64 << ebits) - 1
-                                };
-                                while i + 8 <= span {
-                                    // Fixed-size views: the `[u8; 64]` line
-                                    // and `&words[i..i + 8]` window make
-                                    // every lane index in-bounds by
-                                    // construction, so the reduce below is
-                                    // eight load/xor pairs and one test.
-                                    let s: &[u8; 64] =
-                                        src[i * 8..i * 8 + 64].try_into().expect("64-byte line");
-                                    let w = &words[i..i + 8];
-                                    let mut diff = 0u64;
-                                    for (l, word) in w.iter().enumerate() {
-                                        diff |= le64(s, l * 8) ^ word.load(Ordering::Relaxed);
-                                    }
-                                    if diff == 0 {
-                                        // Silent line: every element it
-                                        // covers is unchanged.
-                                        if let Some(start) = st.run_start.take() {
-                                            runs.push((start, base + i * per));
-                                        }
-                                        i += 8;
-                                        continue;
-                                    }
-                                    // Changed line (the rare case): redo the
-                                    // per-lane xor to place the change bits.
-                                    for (l, word) in w.iter().enumerate() {
-                                        let new = le64(s, l * 8);
-                                        let xor = new ^ word.load(Ordering::Relaxed);
-                                        if xor != 0 {
-                                            word.store(new, Ordering::Relaxed);
-                                        }
-                                        for e in 0..per {
-                                            let changed = (xor >> (e * ebits)) & emask != 0;
-                                            st.mark(base + (i + l) * per + e, changed, runs);
-                                        }
-                                    }
-                                    i += 8;
-                                }
-                            }
-                            while i < span {
-                                // Word-at-a-time walk: the scalar ablation
-                                // baseline (`simd_store` off) and the
-                                // sub-line tail of the vectorized path.
-                                // One silent word, or a run of changing
-                                // words consumed without re-probing.
-                                loop {
-                                    let word = &words[i];
-                                    let ed = &src[i * 8..(i + 1) * 8];
-                                    let new = le64(ed, 0);
-                                    let old = word.load(Ordering::Relaxed);
-                                    if new == old {
-                                        // Silent word: every element it
-                                        // covers is unchanged.
-                                        if let Some(start) = st.run_start.take() {
-                                            runs.push((start, base + i * per));
-                                        }
-                                        i += 1;
-                                        break;
-                                    }
-                                    word.store(new, Ordering::Relaxed);
-                                    // Element change bits via xor/shift:
-                                    // `elem_size` is a runtime value, so a
-                                    // byte-slice compare would be a memcmp
-                                    // call per word.
-                                    let xor = new ^ old;
-                                    let ebits = elem_size * 8;
-                                    let emask = if elem_size == 8 {
-                                        u64::MAX
-                                    } else {
-                                        (1u64 << ebits) - 1
-                                    };
-                                    for e in 0..per {
-                                        let changed = (xor >> (e * ebits)) & emask != 0;
-                                        st.mark(base + i * per + e, changed, runs);
-                                    }
-                                    i += 1;
-                                    if i >= span {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        pos += (span * 8) as u64;
-                        o += span * 8;
-                        idx += span;
-                        continue;
-                    }
-                    // Partial head or tail word: splice into the existing
-                    // word bytes.
-                    let word = &chunk[idx];
-                    let off = (pos & 7) as usize;
-                    let nb = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let oldb = old.to_le_bytes();
-                    let mut bytes = oldb;
-                    bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
-                    let new = u64::from_le_bytes(bytes);
-                    if new != old {
-                        word.store(new, Ordering::Relaxed);
-                    }
-                    let cnt = nb / elem_size;
-                    let base = o / elem_size;
-                    if new == old && detect_change {
-                        if let Some(start) = st.run_start.take() {
-                            runs.push((start, base));
-                        }
-                    } else if !detect_change {
-                        st.changed_elems += cnt;
-                        if st.run_start.is_none() {
-                            st.run_start = Some(base);
-                        }
-                    } else {
-                        let xor = new ^ old;
-                        let ebits = elem_size * 8;
-                        let emask = if elem_size == 8 {
-                            u64::MAX
-                        } else {
-                            (1u64 << ebits) - 1
-                        };
-                        for e in 0..cnt {
-                            let s = off + e * elem_size;
-                            let changed = (xor >> (s * 8)) & emask != 0;
-                            st.mark(base + e, changed, runs);
-                        }
-                    }
-                    pos += nb as u64;
-                    o += nb;
-                    idx += 1;
-                }
-            }
+        let le64 =
+            |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().expect("8 bytes"));
+        let start = range.start().raw();
+        let end = start + (n * elem_size) as u64;
+        let lanes = elem_size <= 8 && 8 % elem_size == 0 && start.is_multiple_of(elem_size as u64);
+        let per = 8 / elem_size;
+        let ebits = elem_size * 8;
+        let emask = if elem_size >= 8 {
+            u64::MAX
         } else {
-            // Odd element sizes (3/12/16 bytes, ...) or an elem-unaligned
-            // start: elements straddle word boundaries, so walk the words
-            // once — one load/compare/store per word, like the fast path —
-            // instead of a `write_words` call per element. A rolling
-            // element cursor turns each word's xor into per-element change
-            // bits even when one element spans several words. Trailing
-            // bytes beyond the last whole element are left unwritten, as
-            // before.
-            let start = range.start().raw();
-            let end = start + (n * elem_size) as u64;
-            let mut pos = start;
-            let mut o = 0usize;
-            let mut k = 0usize;
-            let mut elem_left = elem_size;
-            let mut elem_changed = false;
-            while pos < end {
-                let (chunk, mut idx) = self.chunk_of(pos >> 3);
-                while pos < end && idx < chunk.len() {
-                    let word = &chunk[idx];
-                    let off = (pos & 7) as usize;
-                    let nb = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let new = if nb == 8 {
-                        u64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"))
-                    } else {
-                        let mut bytes = old.to_le_bytes();
-                        bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
-                        u64::from_le_bytes(bytes)
-                    };
-                    let xor = new ^ old;
-                    if xor != 0 {
-                        word.store(new, Ordering::Relaxed);
+            (1u64 << ebits) - 1
+        };
+        let mut pos = start;
+        let mut o = 0usize;
+        // Rolling element cursor: element `k` has `elem_left` bytes still
+        // to visit and has changed so far iff `elem_changed`.
+        let mut k = 0usize;
+        let mut elem_left = elem_size;
+        let mut elem_changed = false;
+        while pos < end {
+            let (chunk, mut idx) = self.chunk_of(pos >> 3);
+            while pos < end && idx < chunk.len() {
+                if lanes && pos & 7 == 0 && end - pos >= 64 && chunk.len() - idx >= 8 {
+                    // Line step. Fixed-size views make every lane index
+                    // in-bounds by construction, so the reduce is eight
+                    // load/xor pairs and one test.
+                    debug_assert_eq!(elem_left, elem_size);
+                    let s: &[u8; 64] = data[o..o + 64].try_into().expect("64-byte line");
+                    let w = &chunk[idx..idx + 8];
+                    let mut diff = 0u64;
+                    for (l, word) in w.iter().enumerate() {
+                        diff |= le64(s, l * 8) ^ word.load(Ordering::Relaxed);
                     }
-                    let mut b = 0usize;
-                    while b < nb {
-                        let take = elem_left.min(nb - b);
-                        if xor != 0 {
-                            let mask = if take >= 8 {
-                                u64::MAX
-                            } else {
-                                ((1u64 << (take * 8)) - 1) << ((off + b) * 8)
-                            };
-                            if xor & mask != 0 {
-                                elem_changed = true;
+                    if diff == 0 || !detect_change {
+                        if diff != 0 {
+                            for (l, word) in w.iter().enumerate() {
+                                word.store(le64(s, l * 8), Ordering::Relaxed);
                             }
                         }
-                        b += take;
-                        elem_left -= take;
-                        if elem_left == 0 {
-                            st.mark(k, elem_changed || !detect_change, runs);
-                            k += 1;
-                            elem_left = elem_size;
-                            elem_changed = false;
+                        st.mark(k, 8 * per, !detect_change, runs);
+                    } else {
+                        // Changed line (the rare case): redo the per-lane
+                        // xor to place the change bits.
+                        for (l, word) in w.iter().enumerate() {
+                            let new = le64(s, l * 8);
+                            let xor = new ^ word.load(Ordering::Relaxed);
+                            if xor != 0 {
+                                word.store(new, Ordering::Relaxed);
+                            }
+                            for e in 0..per {
+                                let changed = (xor >> (e * ebits)) & emask != 0;
+                                st.mark(k + l * per + e, 1, changed, runs);
+                            }
                         }
                     }
-                    pos += nb as u64;
-                    o += nb;
-                    idx += 1;
+                    k += 8 * per;
+                    pos += 64;
+                    o += 64;
+                    idx += 8;
+                    continue;
                 }
+                // Word step: splice the covered bytes into the word, then
+                // fold the xor into each element the word touches.
+                let word = &chunk[idx];
+                let off = (pos & 7) as usize;
+                let nb = ((8 - off) as u64).min(end - pos) as usize;
+                let old = word.load(Ordering::Relaxed);
+                let new = if nb == 8 {
+                    le64(data, o)
+                } else {
+                    let mut bytes = old.to_le_bytes();
+                    bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
+                    u64::from_le_bytes(bytes)
+                };
+                let xor = new ^ old;
+                if xor != 0 {
+                    word.store(new, Ordering::Relaxed);
+                }
+                let mut b = 0usize;
+                while b < nb {
+                    let take = elem_left.min(nb - b);
+                    if take == 8 {
+                        elem_changed |= xor != 0;
+                    } else {
+                        elem_changed |= xor & (((1u64 << (take * 8)) - 1) << ((off + b) * 8)) != 0;
+                    }
+                    b += take;
+                    elem_left -= take;
+                    if elem_left == 0 {
+                        st.mark(k, 1, elem_changed || !detect_change, runs);
+                        k += 1;
+                        elem_left = elem_size;
+                        elem_changed = false;
+                    }
+                }
+                pos += nb as u64;
+                o += nb;
+                idx += 1;
             }
         }
         if let Some(start) = st.run_start {
@@ -738,47 +603,6 @@ impl ShardedMem {
             }
         }
     }
-
-    /// Writes `data` at `range` word by word, returning whether any byte
-    /// actually changed. Unchanged words are not stored, so the compare
-    /// doubles as silent-store detection. Caller holds the stripe locks
-    /// covering `range`.
-    fn write_words(&self, range: AddrRange, data: &[u8]) -> bool {
-        let mut changed = false;
-        let mut pos = range.start().raw();
-        let end = range.end().raw();
-        let mut o = 0usize;
-        while pos < end {
-            let (chunk, mut idx) = self.chunk_of(pos >> 3);
-            while pos < end && idx < chunk.len() {
-                let word = &chunk[idx];
-                if pos & 7 == 0 && end - pos >= 8 {
-                    let new = u64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
-                    if new != word.load(Ordering::Relaxed) {
-                        changed = true;
-                        word.store(new, Ordering::Relaxed);
-                    }
-                    pos += 8;
-                    o += 8;
-                } else {
-                    let off = (pos & 7) as usize;
-                    let n = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let mut bytes = old.to_le_bytes();
-                    bytes[off..off + n].copy_from_slice(&data[o..o + n]);
-                    let new = u64::from_le_bytes(bytes);
-                    if new != old {
-                        changed = true;
-                        word.store(new, Ordering::Relaxed);
-                    }
-                    pos += n as u64;
-                    o += n;
-                }
-                idx += 1;
-            }
-        }
-        changed
-    }
 }
 
 #[cfg(test)]
@@ -786,15 +610,15 @@ mod tests {
     use super::*;
 
     fn mem(shards: usize) -> ShardedMem {
-        ShardedMem::new(4096, shards, true)
+        ShardedMem::new(4096, shards)
     }
 
     #[test]
     fn shard_count_is_normalized() {
-        assert_eq!(ShardedMem::new(64, 0, true).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 1, true).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 3, true).shards(), 4);
-        assert_eq!(ShardedMem::new(64, 8, true).shards(), 8);
+        assert_eq!(ShardedMem::new(64, 0).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 1).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 3).shards(), 4);
+        assert_eq!(ShardedMem::new(64, 8).shards(), 8);
     }
 
     #[test]
@@ -807,7 +631,7 @@ mod tests {
             assert_eq!(b.raw() % 8, 0);
             assert!(b.raw() >= 3);
             // Mirror of TrackedHeap::alloc's padding-aware error report.
-            let m2 = ShardedMem::new(16, shards, true);
+            let m2 = ShardedMem::new(16, shards);
             m2.alloc(3, 1).unwrap();
             match m2.alloc(16, 8).unwrap_err() {
                 Error::ArenaExhausted {
@@ -930,7 +754,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_stores_are_exact() {
         use std::sync::Arc;
-        let m = Arc::new(ShardedMem::new(1 << 20, 8, true));
+        let m = Arc::new(ShardedMem::new(1 << 20, 8));
         let a = m.alloc(8 * 1024, 8).unwrap();
         let threads = 4;
         let per = 1024 / threads;
@@ -960,7 +784,7 @@ mod tests {
         use std::sync::Arc;
         // Every thread writes its own byte inside ONE word; the stripe lock
         // must make the read-modify-writes exclusive.
-        let m = Arc::new(ShardedMem::new(64, 4, true));
+        let m = Arc::new(ShardedMem::new(64, 4));
         let a = m.alloc(8, 8).unwrap();
         std::thread::scope(|s| {
             for t in 0..8usize {
@@ -978,18 +802,23 @@ mod tests {
         }
     }
 
-    /// Runs one `store_elems` against a prepared arena and returns
+    /// Runs one `store_elems` against an arena whose bytes from address
+    /// `at` hold `initial`, storing `data` at `at + start`, and returns
     /// `(changed_elems, runs, final bytes)`.
     fn run_store_elems(
-        simd: bool,
+        at: u64,
         initial: &[u8],
         start: u64,
         data: &[u8],
         elem_size: usize,
         detect: bool,
     ) -> (usize, Vec<(usize, usize)>, Vec<u8>) {
-        let m = ShardedMem::new(1 << 16, 4, simd);
+        let m = ShardedMem::new(at + (1 << 16), 4);
+        if at > 0 {
+            m.alloc(at, 1).unwrap();
+        }
         let base = m.alloc(initial.len() as u64, 1).unwrap();
+        assert_eq!(base.raw(), at);
         m.store_bytes(AddrRange::new(base, initial.len() as u64), initial, false);
         let range = AddrRange::new(base.offset(start), data.len() as u64);
         let mut runs = Vec::new();
@@ -1001,40 +830,38 @@ mod tests {
 
     #[test]
     fn odd_elem_sizes_and_unaligned_starts_report_exact_runs() {
-        // The seed's fallback issued one `write_words` call per element;
-        // the batched word walk must report the same per-element runs.
+        // The word step's rolling element cursor must report exact
+        // per-element runs when elements straddle words.
         // 3-byte elements starting at an odd offset: element 2 straddles a
         // word boundary.
         let initial = vec![0u8; 256];
         let mut data = vec![0u8; 7 * 3];
         data[3 * 2 + 1] = 0xaa; // element 2
         data[3 * 5] = 0xbb; // element 5
-        for simd in [false, true] {
-            let (changed, runs, out) = run_store_elems(simd, &initial, 1, &data, 3, true);
-            assert_eq!(changed, 2);
-            assert_eq!(runs, vec![(2, 3), (5, 6)]);
-            assert_eq!(&out[1..1 + data.len()], &data[..]);
-            // A second identical store is fully silent.
-            let m = ShardedMem::new(1 << 16, 4, simd);
-            let b = m.alloc(256, 1).unwrap();
-            let r = AddrRange::new(b.offset(1), data.len() as u64);
-            let mut runs = Vec::new();
-            m.store_elems(r, &data, 3, true, &mut runs);
-            assert_eq!(m.store_elems(r, &data, 3, true, &mut runs), 0);
-            assert!(runs.is_empty());
-        }
+        let (changed, runs, out) = run_store_elems(0, &initial, 1, &data, 3, true);
+        assert_eq!(changed, 2);
+        assert_eq!(runs, vec![(2, 3), (5, 6)]);
+        assert_eq!(&out[1..1 + data.len()], &data[..]);
+        // A second identical store is fully silent.
+        let m = ShardedMem::new(1 << 16, 4);
+        let b = m.alloc(256, 1).unwrap();
+        let r = AddrRange::new(b.offset(1), data.len() as u64);
+        let mut runs = Vec::new();
+        m.store_elems(r, &data, 3, true, &mut runs);
+        assert_eq!(m.store_elems(r, &data, 3, true, &mut runs), 0);
+        assert!(runs.is_empty());
         // 12- and 16-byte elements (multi-word elements).
         for (esize, nelem) in [(12usize, 5usize), (16, 4)] {
             let mut data = vec![0u8; esize * nelem];
             data[esize + 7] = 1; // element 1, second word
             data[esize * (nelem - 1)] = 2; // last element
-            let (changed, runs, out) = run_store_elems(false, &[0u8; 256], 4, &data, esize, true);
+            let (changed, runs, out) = run_store_elems(0, &[0u8; 256], 4, &data, esize, true);
             assert_eq!(changed, 2, "esize {esize}");
             assert_eq!(runs, vec![(1, 2), (nelem - 1, nelem)]);
             assert_eq!(&out[4..4 + data.len()], &data[..]);
         }
         // detect=false marks everything changed but still writes exactly.
-        let (changed, runs, _) = run_store_elems(true, &[1u8; 64], 1, &[1u8; 9], 3, false);
+        let (changed, runs, _) = run_store_elems(0, &[1u8; 64], 1, &[1u8; 9], 3, false);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
     }
@@ -1043,34 +870,64 @@ mod tests {
     fn fallback_ignores_partial_tail_element() {
         // 11 bytes of 3-byte elements: the trailing 2 bytes belong to no
         // whole element and must not be written (seed behaviour).
-        let (changed, runs, out) = run_store_elems(true, &[0u8; 64], 0, &[9u8; 11], 3, true);
+        let (changed, runs, out) = run_store_elems(0, &[0u8; 64], 0, &[9u8; 11], 3, true);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
         assert_eq!(&out[..9], &[9u8; 9]);
         assert_eq!(&out[9..11], &[0, 0], "partial tail element was written");
     }
 
-    mod simd_scalar_equivalence {
+    mod bytewise_reference {
         use super::*;
         use proptest::prelude::*;
 
+        /// Byte-wise reference for `store_elems`: per element, compare the
+        /// bytes, copy them, and collect runs of changed elements. Returns
+        /// `(changed_elems, runs)`.
+        fn reference_store_elems(
+            mem: &mut [u8],
+            data: &[u8],
+            elem_size: usize,
+            detect: bool,
+        ) -> (usize, Vec<(usize, usize)>) {
+            let n = data.len() / elem_size;
+            let (mut changed_elems, mut runs, mut run_start) = (0, Vec::new(), None);
+            for k in 0..n {
+                let span = k * elem_size..(k + 1) * elem_size;
+                if !detect || mem[span.clone()] != data[span.clone()] {
+                    changed_elems += 1;
+                    run_start.get_or_insert(k);
+                } else if let Some(start) = run_start.take() {
+                    runs.push((start, k));
+                }
+                mem[span.clone()].copy_from_slice(&data[span]);
+            }
+            if let Some(start) = run_start {
+                runs.push((start, n));
+            }
+            (changed_elems, runs)
+        }
+
         proptest! {
-            /// The vectorized line loop and the scalar word loop are
-            /// observationally identical: same changed-element count, same
-            /// `runs` vector, same final memory, across elem sizes (word
-            /// fast path and odd-size fallback), alignments, and silent
-            /// fractions.
+            /// The one-walk `store_elems` (line step + word step) matches
+            /// the byte-wise reference: same changed-element count, same
+            /// `runs` vector, same final memory, across elem sizes (line
+            /// step and odd sizes), alignments, silent fractions, and —
+            /// with `edge_gap` set — ranges that start `edge_gap` bytes
+            /// (less than a line) before a chunk boundary and straddle it.
             #[test]
-            fn simd_and_scalar_agree(
+            fn store_elems_matches_bytewise_reference(
                 elem_size in (0usize..8).prop_map(|i| [1usize, 2, 3, 4, 5, 8, 12, 16][i]),
                 nelem in 1usize..400,
                 start in 0u64..24,
+                edge_gap in prop_oneof![Just(None), (1u64..64).prop_map(Some)],
                 detect in any::<bool>(),
                 seed in any::<u64>(),
                 silent_num in 0u64..=16,
             ) {
                 let len = elem_size * nelem;
                 let arena = (start as usize + len + 16).max(64);
+                let at = edge_gap.map_or(0, |gap| CHUNK_WORDS * 8 - gap - start);
                 // Deterministic xorshift data; `silent_num/16` of the
                 // elements rewrite the initial contents unchanged.
                 let mut x = seed | 1;
@@ -1093,14 +950,15 @@ mod tests {
                         };
                     }
                 }
-                let scalar = run_store_elems(false, &initial, start, &data, elem_size, detect);
-                let simd = run_store_elems(true, &initial, start, &data, elem_size, detect);
-                prop_assert_eq!(scalar.0, simd.0, "changed-element counts diverge");
-                prop_assert_eq!(&scalar.1, &simd.1, "run vectors diverge");
-                prop_assert_eq!(&scalar.2, &simd.2, "final bytes diverge");
-                // And both leave memory holding exactly the stored data.
+                let (changed, runs, out) =
+                    run_store_elems(at, &initial, start, &data, elem_size, detect);
+                let mut expect = initial.clone();
                 let s = start as usize;
-                prop_assert_eq!(&scalar.2[s..s + len], &data[..]);
+                let (ref_changed, ref_runs) =
+                    reference_store_elems(&mut expect[s..s + len], &data, elem_size, detect);
+                prop_assert_eq!(changed, ref_changed, "changed-element counts diverge");
+                prop_assert_eq!(&runs, &ref_runs, "run vectors diverge");
+                prop_assert_eq!(&out, &expect, "final bytes diverge");
             }
         }
     }

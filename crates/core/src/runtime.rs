@@ -14,7 +14,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::accessor::Accessor;
 use crate::addr::AddrRange;
-use crate::config::Config;
+use crate::config::{Config, ARENA_CAPACITY};
 use crate::ctx::{Ctx, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
 use crate::dispatch::{Dispatch, ParkOutcome, PendingPush, RaiseStep};
@@ -81,7 +81,7 @@ pub struct State<U> {
     /// Pool of reusable trigger-lookup scratch buffers for lock-holding
     /// dispatch paths (main-thread stores, commits, cascades).
     pub(crate) scratch: Vec<LookupScratch>,
-    /// Reusable encode buffer for the vectorized bulk store path
+    /// Reusable encode buffer for the bulk store path
     /// ([`Ctx::write_slice`]): amortizes the per-call allocation and
     /// zero-fill across bulk stores.
     pub(crate) bulk_scratch: Vec<u8>,
@@ -367,9 +367,9 @@ impl<U: Send + 'static> Runtime<U> {
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
         };
-        let mem = ShardedMem::new(cfg.arena_capacity, cfg.mem_shards, cfg.simd_store);
+        let mem = ShardedMem::new(ARENA_CAPACITY, cfg.mem_shards);
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
-        let watch_filter = WatchFilter::new(cfg.arena_capacity);
+        let watch_filter = WatchFilter::new(ARENA_CAPACITY);
         let access = AccessCounters::new(cfg.mem_shards);
         // One ring per memory shard (store events hash by address) plus one
         // for the trigger/status machine.
